@@ -46,6 +46,8 @@ def _clean_capacities(V: np.ndarray | Sequence[float], n: int) -> np.ndarray:
     V = np.asarray(V, dtype=float).copy()
     if V.shape != (n,):
         raise InvalidAgreementMatrixError(f"V must have shape ({n},), got {V.shape}")
+    if not np.isfinite(V).all():
+        raise InvalidAgreementMatrixError("capacities V must be finite")
     if np.any(V < -_TOL):
         raise InvalidAgreementMatrixError("capacities V must be non-negative")
     np.maximum(V, 0.0, out=V)

@@ -132,8 +132,7 @@ def allocate_lp(
         try:
             if formulation == "reduced" and backend == "scipy":
                 # Hot path for the simulator: build the arrays directly
-                # instead of going through the expression layer (identical
-                # LP, ~2x faster).
+                # instead of going through the expression layer (identical LP).
                 take, theta = _solve_reduced_arrays(n, a, x, V, U, T, objective)
             elif formulation == "reduced":
                 take, theta = _solve_reduced(n, a, x, V, U, T, objective, backend)

@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
+
+from ..errors import InvalidRequestError
 
 __all__ = ["AllocationRequest", "Allocation"]
 
@@ -23,8 +26,8 @@ class AllocationRequest:
     level: int | None = None
 
     def __post_init__(self) -> None:
-        if self.amount < 0:
-            raise ValueError(f"request amount must be >= 0, got {self.amount}")
+        if not (math.isfinite(self.amount) and self.amount >= 0):
+            raise InvalidRequestError(f"request amount must be finite and >= 0, got {self.amount}")
 
 
 @dataclass

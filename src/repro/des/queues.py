@@ -15,7 +15,7 @@ from dataclasses import dataclass
 __all__ = ["QueuedItem", "WorkQueue"]
 
 
-@dataclass
+@dataclass(slots=True)
 class QueuedItem:
     """One unit of queued work.
 

@@ -73,9 +73,13 @@ class SlotSeries:
         means = self.means()
         return float(means.max()) if means.size else 0.0
 
+    def total(self) -> float:
+        """Sum of every recorded value."""
+        return float(self._sum.sum())
+
     def overall_mean(self) -> float:
-        total = int(self._count.sum())
-        return float(self._sum.sum() / total) if total else 0.0
+        count = int(self._count.sum())
+        return self.total() / count if count else 0.0
 
     def merge(self, other: "SlotSeries") -> None:
         """Accumulate another series (same geometry) into this one."""

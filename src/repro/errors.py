@@ -20,6 +20,7 @@ __all__ = [
     "InvalidAgreementMatrixError",
     "OversharingError",
     "AllocationError",
+    "InvalidRequestError",
     "InsufficientResourcesError",
     "InfeasibleAllocationError",
     "LPError",
@@ -99,6 +100,10 @@ class OversharingError(InvalidAgreementMatrixError):
 
 class AllocationError(ReproError):
     """Base class for allocation failures."""
+
+
+class InvalidRequestError(AllocationError, ValueError):
+    """A request amount is negative or not finite."""
 
 
 class InsufficientResourcesError(AllocationError):

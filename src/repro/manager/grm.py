@@ -143,12 +143,16 @@ class GlobalResourceManager:
             )
             return None
         if isinstance(message, AvailabilityBatch):
+            # Resolve every entry before writing any, so a rejected batch
+            # leaves the availability vector as it was.
             vec = self._avail_vector(message.resource_type)
-            for principal, available in message.reports:
-                try:
-                    vec[self._pindex[principal]] = available
-                except KeyError:
-                    raise UnknownPrincipalError(principal) from None
+            index = self._pindex
+            try:
+                updates = [(index[p], float(a)) for p, a in message.reports]
+            except KeyError as exc:
+                raise UnknownPrincipalError(exc.args[0]) from None
+            for i, available in updates:
+                vec[i] = available
             return None
         if isinstance(message, AllocationRequestMsg):
             return self._allocate(message)

@@ -95,17 +95,12 @@ class ProxySimulation:
         """Move stream arrivals with time <= until into the proxy's queue."""
         stream = self.streams[proxy]
         i = self._cursor[proxy]
-        queue = self.queues[proxy]
-        service = self.config.service
-        while i < len(stream) and stream[i].arrival <= until:
+        end = len(stream)
+        push = self.queues[proxy].push
+        service_time = self.config.service.service_time
+        while i < end and stream[i].arrival <= until:
             req = stream[i]
-            queue.push(
-                QueuedItem(
-                    arrival=req.arrival,
-                    service=service.service_time(req.length),
-                    payload=req,
-                )
-            )
+            push(QueuedItem(req.arrival, service_time(req.length), None, req))
             i += 1
         self._cursor[proxy] = i
 

@@ -25,6 +25,10 @@ allocation decision is in flight (:func:`repro.obs.decision.current_decision`)
 a snapshot of the half-built :class:`~repro.obs.decision.DecisionRecord`
 rides along on the exception, so the audit context survives the crash.
 
+Every predicate is written as the negation of the condition that must
+hold (``not (theta >= -tol)``, never ``theta < -tol``), so a NaN — which
+fails every comparison — is reported rather than waved through.
+
 Everything is gated on :func:`enabled` — initialised from the
 ``REPRO_SANITIZE`` environment variable and togglable at runtime
 (:func:`enable` / :func:`disable`) for tests.  Disabled, every hook is a
@@ -100,7 +104,7 @@ def violation(invariant: str, message: str, **details) -> None:
 
 def bank_mutated(bank, prev_version: int) -> None:
     """Epilogue of :meth:`Bank._bump_version`: the counter moved forward."""
-    if bank.version <= prev_version:
+    if not (bank.version > prev_version):
         violation(
             "bank-version-monotonic",
             "bank version did not advance on mutation",
@@ -154,7 +158,7 @@ def check_bank(bank) -> None:
 def check_grant(takes, granted: float) -> None:
     """The donor split on a grant sums to the granted amount."""
     total = float(sum(t for _, t in takes))
-    if abs(total - float(granted)) > _TOL:
+    if not (abs(total - float(granted)) <= _TOL):
         violation(
             "donor-split-conservation",
             "grant's donor split does not sum to the granted amount",
@@ -163,7 +167,7 @@ def check_grant(takes, granted: float) -> None:
             takes=[(p, float(t)) for p, t in takes],
         )
     for p, t in takes:
-        if t < -_TOL:
+        if not (t >= -_TOL):
             violation(
                 "donor-split-nonnegative",
                 "grant contains a negative take",
@@ -181,7 +185,7 @@ def check_allocation(C_before, allocation) -> None:
     and effective capacities that only ever shrink (``C' <= C``).
     """
     take = np.asarray(allocation.take, dtype=float)
-    if take.size and float(take.min()) < -_TOL:
+    if take.size and not (float(take.min()) >= -_TOL):
         violation(
             "take-nonnegative",
             "allocation contains a negative take",
@@ -189,7 +193,7 @@ def check_allocation(C_before, allocation) -> None:
             min_take=float(take.min()),
         )
     total = float(take.sum())
-    if abs(total - float(allocation.satisfied)) > _TOL:
+    if not (abs(total - float(allocation.satisfied)) <= _TOL):
         violation(
             "take-conservation",
             "sum of takes does not equal the satisfied amount",
@@ -197,7 +201,7 @@ def check_allocation(C_before, allocation) -> None:
             satisfied=float(allocation.satisfied),
             take_total=total,
         )
-    if float(allocation.theta) < -_TOL:
+    if not (float(allocation.theta) >= -_TOL):
         violation(
             "theta-nonnegative",
             "allocation perturbation theta is negative",
@@ -209,7 +213,7 @@ def check_allocation(C_before, allocation) -> None:
         after = np.asarray(allocation.new_C, dtype=float)
         if before.shape == after.shape and after.size:
             excess_idx = int(np.argmax(after - before))
-            if float(after[excess_idx] - before[excess_idx]) > _TOL:
+            if not (float(after[excess_idx] - before[excess_idx]) <= _TOL):
                 violation(
                     "capacity-monotone",
                     "post-allocation effective capacity exceeds the "
@@ -234,20 +238,20 @@ def check_coefficients(T, allow_overdraft: bool) -> None:
     T = np.asarray(T, dtype=float)
     if T.size == 0:
         return
-    if float(T.min()) < -_TOL:
+    if not (float(T.min()) >= -_TOL):
         violation(
             "coefficients-nonnegative",
             "transitive coefficient matrix has a negative entry",
             min_entry=float(T.min()),
         )
     diag_max = float(np.abs(np.diag(T)).max()) if T.shape[0] else 0.0
-    if diag_max > _TOL:
+    if not (diag_max <= _TOL):
         violation(
             "coefficients-zero-diagonal",
             "transitive coefficient matrix has a nonzero diagonal",
             diag_max=diag_max,
         )
-    if allow_overdraft and float(T.max()) > 1.0 + _TOL:
+    if allow_overdraft and not (float(T.max()) <= 1.0 + _TOL):
         violation(
             "overdraft-clamp-bounds",
             "overdraft clamp K exceeded 1 (K must lie in [0, 1])",

@@ -3,6 +3,8 @@
 A :class:`RequestStream` samples an inhomogeneous Poisson process from a
 :class:`~repro.workload.diurnal.DiurnalProfile` (per-slot Poisson counts
 with uniform placement inside each slot) and attaches response lengths.
+Each :class:`Request` is a :class:`~typing.NamedTuple` — immutable, and
+cheap to build by the hundred thousand, which a case-study day needs.
 :func:`generate_streams` builds the case study's configuration: ``n``
 proxies seeing time-skewed copies of the same profile, the skew between
 neighbours being the experiments' "gap" parameter.
@@ -10,7 +12,8 @@ neighbours being the experiments' "gap" parameter.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from itertools import repeat
+from typing import NamedTuple
 
 import numpy as np
 
@@ -21,8 +24,7 @@ from .sizes import LogNormalSizes, SizeDistribution
 __all__ = ["Request", "RequestStream", "generate_streams"]
 
 
-@dataclass(frozen=True, slots=True)
-class Request:
+class Request(NamedTuple):
     """One HTTP request: arrival time (s), response length (bytes), origin proxy."""
 
     arrival: float
@@ -63,19 +65,14 @@ class RequestStream:
         lam = self.profile.rate(mids) * widths
         counts = rng.poisson(lam)
         total = int(counts.sum())
-        arrivals = np.empty(total)
-        pos = 0
-        for k, (lo, w) in enumerate(zip(edges[:-1], widths)):
-            c = int(counts[k])
-            if c:
-                arrivals[pos : pos + c] = lo + rng.random(c) * w
-                pos += c
+        # One draw for every in-slot offset: the generator hands out the
+        # same doubles, in the same order, as one draw per non-empty slot.
+        starts = np.repeat(edges[:-1], counts)
+        arrivals = starts + rng.random(total) * np.repeat(widths, counts)
         arrivals.sort()
         lengths = self.sizes.sample(rng, total)
-        return [
-            Request(float(t), float(x), self.origin)
-            for t, x in zip(arrivals, lengths)
-        ]
+        columns = zip(arrivals.tolist(), lengths.tolist(), repeat(self.origin, total))
+        return list(map(Request._make, columns))
 
     def expected_requests(self) -> float:
         return self.profile.expected_count(0.0, self.horizon)

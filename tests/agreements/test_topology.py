@@ -85,6 +85,13 @@ class TestValidation:
         with pytest.raises(InvalidAgreementMatrixError, match="non-negative"):
             t.view(np.array([1.0, -1.0, 1.0]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_capacity_rejected(self, bad):
+        # A NaN passes a `V < -tol` check; left in, it made every
+        # capacity NaN and let any request through admission control.
+        with pytest.raises(InvalidAgreementMatrixError, match="finite"):
+            topo().view(np.array([1.0, bad, 1.0]))
+
 
 class TestCaching:
     def test_coefficient_cache_shared_across_views(self):

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from repro.agreements import AgreementSystem, complete_structure, loop_structure
 from repro.allocation import allocate_lp
-from repro.errors import InsufficientResourcesError, LPError
+from repro.errors import InsufficientResourcesError, InvalidRequestError, LPError
 
 
 def two_node(v0=10.0, v1=0.0, share=0.5):
@@ -51,6 +51,17 @@ class TestFeasibility:
     def test_negative_request_rejected(self):
         with pytest.raises(ValueError):
             allocate_lp(two_node(), "a", -1.0)
+
+    @pytest.mark.parametrize("amount", [np.nan, np.inf])
+    def test_non_finite_request_rejected_before_the_lp(self, amount, monkeypatch):
+        import repro.allocation.lp_allocator as lp_allocator
+
+        def no_lp(*args):
+            raise AssertionError("the LP must not run")
+
+        monkeypatch.setattr(lp_allocator, "_solve_reduced_arrays", no_lp)
+        with pytest.raises(InvalidRequestError, match="finite"):
+            allocate_lp(two_node(), "a", amount)
 
     def test_level_limits_reachable_capacity(self):
         # chain a -> b -> c, c requests: at level 1 only b's resources reach c.

@@ -1,5 +1,6 @@
 """Tests for the GRM/LRM architecture and its message protocol."""
 
+import numpy as np
 import pytest
 
 from repro.economy import Bank
@@ -7,6 +8,7 @@ from repro.errors import ManagerError, UnknownPrincipalError
 from repro.manager import (
     AllocationGrant,
     AllocationRequestMsg,
+    AvailabilityBatch,
     AvailabilityReport,
     GlobalResourceManager,
     InProcessTransport,
@@ -74,6 +76,14 @@ class TestAvailabilityReports:
         lrms[0].reserve(99, ResourceVector(general=4.0))
         lrms[0].report()
         assert grm.availability("isp0") == pytest.approx(6.0)
+
+    def test_rejected_batch_changes_nothing(self):
+        transport, grm, _ = build_cluster()
+        before = grm.availability_vector()
+        reports = (("isp0", 7.0), ("isp1", 8.0), ("ghost", 1.0))
+        with pytest.raises(UnknownPrincipalError, match="ghost"):
+            transport.send("grm", AvailabilityBatch(sender="agg", reports=reports))
+        np.testing.assert_array_equal(grm.availability_vector(), before)
 
     def test_lrm_report_requires_attach(self):
         lrm = LocalResourceManager("x", ResourceVector(general=1.0))

@@ -79,7 +79,7 @@ class TestExternalStreams:
         cfg = tiny_config(n_proxies=1, gap=0.0, epoch=100.0)
         result = run_simulation(cfg, streams=[reqs])
         # first waits 0; second waits (10 + 1.1) - 10.5 = 0.6
-        total_wait = float(result.waits_all._sum.sum())
+        total_wait = result.waits_all.total()
         assert total_wait == pytest.approx(0.6)
 
 

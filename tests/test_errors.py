@@ -12,6 +12,7 @@ class TestHierarchy:
             errors.CurrencyCycleError,
             errors.OversharingError,
             errors.InsufficientResourcesError,
+            errors.InvalidRequestError,
             errors.LPInfeasibleError,
             errors.UnknownPrincipalError,
             errors.SimulationError,
@@ -29,6 +30,7 @@ class TestHierarchy:
     def test_valueerror_compat(self):
         assert issubclass(errors.InvalidAgreementMatrixError, ValueError)
         assert issubclass(errors.DuplicateNameError, ValueError)
+        assert issubclass(errors.InvalidRequestError, ValueError)
 
     def test_oversharing_is_invalid_matrix(self):
         assert issubclass(errors.OversharingError, errors.InvalidAgreementMatrixError)

@@ -202,6 +202,25 @@ class TestAllocationInvariants:
         with pytest.raises(InvariantViolation, match="theta"):
             sanitize.check_allocation(None, allocation)
 
+    @pytest.mark.parametrize(
+        ("take", "theta", "invariant"),
+        [
+            ([np.nan, 1.0], 0.0, "take-nonnegative"),
+            ([0.5, 0.5], np.nan, "theta-nonnegative"),
+        ],
+    )
+    def test_nan_is_a_violation(self, sanitized, take, theta, invariant):
+        allocation = SimpleNamespace(
+            take=np.array(take),
+            satisfied=1.0,
+            theta=theta,
+            new_C=None,
+            scheme="test",
+        )
+        with pytest.raises(InvariantViolation) as exc_info:
+            sanitize.check_allocation(None, allocation)
+        assert exc_info.value.invariant == invariant
+
     def test_honest_lp_allocation_passes(self, sanitized):
         system = AgreementSystem(
             ["a", "b"], np.array([10.0, 10.0]), np.array([[0.0, 0.4], [0.4, 0.0]])
