@@ -125,6 +125,8 @@ class AgreementTopology:
             raise InvalidAgreementMatrixError(
                 f"S must have shape ({n}, {n}), got {S.shape}"
             )
+        if not np.isfinite(S).all():
+            raise InvalidAgreementMatrixError("S entries must be finite")
         if np.any(np.abs(np.diag(S)) > _TOL):
             raise InvalidAgreementMatrixError("S must have a zero diagonal (S_ii = 0)")
         if np.any(S < -_TOL):
@@ -149,6 +151,8 @@ class AgreementTopology:
             raise InvalidAgreementMatrixError(
                 f"A must have shape ({n}, {n}), got {A.shape}"
             )
+        if not np.isfinite(A).all():
+            raise InvalidAgreementMatrixError("A entries must be finite")
         if np.any(A < -_TOL):
             raise InvalidAgreementMatrixError("A entries must be non-negative")
         if np.any(np.abs(np.diag(A)) > _TOL):

@@ -29,6 +29,7 @@ __all__ = [
     "LPSolverError",
     "ManagerError",
     "UnknownPrincipalError",
+    "InvalidReportError",
     "SimulationError",
     "WorkloadError",
     "InvariantViolation",
@@ -155,6 +156,10 @@ class ManagerError(ReproError):
 
 class UnknownPrincipalError(ManagerError, KeyError):
     """A principal id was not registered with the manager."""
+
+
+class InvalidReportError(ManagerError, ValueError):
+    """An availability report is negative or not finite."""
 
 
 # --------------------------------------------------------------------------

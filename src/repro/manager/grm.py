@@ -20,6 +20,8 @@ name -> index map, so reports, grants and releases are O(1) updates and
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .. import sanitize as _sanitize
@@ -27,6 +29,7 @@ from ..allocation.lp_allocator import allocate_lp
 from ..economy.bank import Bank
 from ..errors import (
     InsufficientResourcesError,
+    InvalidReportError,
     ManagerError,
     UnknownPrincipalError,
 )
@@ -43,6 +46,23 @@ from .messages import (
 )
 
 __all__ = ["GlobalResourceManager"]
+
+_TOL = 1e-9
+
+
+def _report_value(principal: str, available: float) -> float:
+    """A reported availability, refused unless finite and non-negative.
+
+    The same rule the capacity vector is held to when a request binds it
+    (:func:`repro.agreements.topology._clean_capacities`), applied where
+    the report arrives, so a bad report never reaches the stored vector.
+    """
+    value = float(available)
+    if not (math.isfinite(value) and value >= -_TOL):
+        raise InvalidReportError(
+            f"availability for {principal!r} must be finite and >= 0, got {value}"
+        )
+    return value
 
 
 class GlobalResourceManager:
@@ -120,9 +140,10 @@ class GlobalResourceManager:
         self, principal: str, available: float, resource_type: str = "general"
     ) -> None:
         """Record the latest availability report for one principal."""
+        value = _report_value(principal, available)
         vec = self._avail_vector(resource_type)
         try:
-            vec[self._pindex[principal]] = available
+            vec[self._pindex[principal]] = value
         except KeyError:
             raise UnknownPrincipalError(principal) from None
 
@@ -143,12 +164,12 @@ class GlobalResourceManager:
             )
             return None
         if isinstance(message, AvailabilityBatch):
-            # Resolve every entry before writing any, so a rejected batch
-            # leaves the availability vector as it was.
+            # Resolve and check every entry before writing any, so a
+            # rejected batch leaves the availability vector as it was.
             vec = self._avail_vector(message.resource_type)
             index = self._pindex
             try:
-                updates = [(index[p], float(a)) for p, a in message.reports]
+                updates = [(index[p], _report_value(p, a)) for p, a in message.reports]
             except KeyError as exc:
                 raise UnknownPrincipalError(exc.args[0]) from None
             for i, available in updates:

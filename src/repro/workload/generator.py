@@ -12,6 +12,7 @@ neighbours being the experiments' "gap" parameter.
 
 from __future__ import annotations
 
+import gc
 from itertools import repeat
 from typing import NamedTuple
 
@@ -72,7 +73,16 @@ class RequestStream:
         arrivals.sort()
         lengths = self.sizes.sample(rng, total)
         columns = zip(arrivals.tolist(), lengths.tolist(), repeat(self.origin, total))
-        return list(map(Request._make, columns))
+        # Built in C (zip always yields 3-tuples, so _make's length check is
+        # not needed) with the cyclic collector paused: requests can never
+        # form a cycle, but each collection during the build would walk them.
+        was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            return list(map(tuple.__new__, repeat(Request, total), columns))
+        finally:
+            if was_enabled:
+                gc.enable()
 
     def expected_requests(self) -> float:
         return self.profile.expected_count(0.0, self.horizon)

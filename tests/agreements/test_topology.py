@@ -92,6 +92,19 @@ class TestValidation:
         with pytest.raises(InvalidAgreementMatrixError, match="finite"):
             topo().view(np.array([1.0, bad, 1.0]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("cell", [(0, 1), (1, 1)])
+    @pytest.mark.parametrize("matrix", ["S", "A"])
+    def test_non_finite_agreement_rejected(self, matrix, cell, bad):
+        # A NaN passes the sign, diagonal and row-sum checks, and overdraft
+        # lifts the row-sum check that would catch +inf in S; left in, it
+        # reaches T and every capacity.
+        M = (S3 if matrix == "S" else A3).copy()
+        M[cell] = bad
+        S, A = (M, A3) if matrix == "S" else (S3, M)
+        with pytest.raises(InvalidAgreementMatrixError, match="finite"):
+            AgreementTopology(P3, S, A, allow_overdraft=True)
+
 
 class TestCaching:
     def test_coefficient_cache_shared_across_views(self):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.economy import Bank
-from repro.errors import ManagerError, UnknownPrincipalError
+from repro.errors import InvalidReportError, ManagerError, UnknownPrincipalError
 from repro.manager import (
     AllocationGrant,
     AllocationRequestMsg,
@@ -84,6 +84,34 @@ class TestAvailabilityReports:
         with pytest.raises(UnknownPrincipalError, match="ghost"):
             transport.send("grm", AvailabilityBatch(sender="agg", reports=reports))
         np.testing.assert_array_equal(grm.availability_vector(), before)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, -1.0])
+    def test_bad_report_refused(self, bad):
+        # Stored, a NaN or negative report made every later allocation
+        # fail in the capacity check until a fresh report arrived.
+        transport, grm, _ = build_cluster()
+        with pytest.raises(InvalidReportError, match="isp1"):
+            transport.send("grm", AvailabilityReport(sender="isp1", available=bad))
+        with pytest.raises(InvalidReportError):
+            grm.set_availability("isp1", bad)
+        assert grm.availability("isp1") == 10.0
+        reply = transport.send(
+            "grm", AllocationRequestMsg(sender="isp0", principal="isp0", amount=14.0)
+        )
+        assert isinstance(reply, AllocationGrant)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -1.0])
+    def test_bad_batch_entry_changes_nothing(self, bad):
+        transport, grm, _ = build_cluster()
+        before = grm.availability_vector()
+        reports = (("isp0", 7.0), ("isp1", 8.0), ("isp2", 9.0), ("isp3", bad))
+        with pytest.raises(InvalidReportError, match="isp3"):
+            transport.send("grm", AvailabilityBatch(sender="agg", reports=reports))
+        np.testing.assert_array_equal(grm.availability_vector(), before)
+        reply = transport.send(
+            "grm", AllocationRequestMsg(sender="isp0", principal="isp0", amount=14.0)
+        )
+        assert isinstance(reply, AllocationGrant)
 
     def test_lrm_report_requires_attach(self):
         lrm = LocalResourceManager("x", ResourceVector(general=1.0))

@@ -15,6 +15,7 @@ class TestHierarchy:
             errors.InvalidRequestError,
             errors.LPInfeasibleError,
             errors.UnknownPrincipalError,
+            errors.InvalidReportError,
             errors.SimulationError,
             errors.WorkloadError,
         ]
@@ -31,6 +32,7 @@ class TestHierarchy:
         assert issubclass(errors.InvalidAgreementMatrixError, ValueError)
         assert issubclass(errors.DuplicateNameError, ValueError)
         assert issubclass(errors.InvalidRequestError, ValueError)
+        assert issubclass(errors.InvalidReportError, ValueError)
 
     def test_oversharing_is_invalid_matrix(self):
         assert issubclass(errors.OversharingError, errors.InvalidAgreementMatrixError)
