@@ -10,12 +10,13 @@ requests with comparable perturbation while solving much smaller LPs.
 import numpy as np
 import pytest
 
-from repro.agreements import hierarchical_structure
+from repro.agreements import hierarchical_structure, hierarchy_groups
 from repro.allocation import allocate_hierarchical, allocate_lp
 
 SYSTEM = hierarchical_structure(
     6, 8, intra_share_total=0.5, inter_share=0.08, capacity=1.0
 )
+GROUPS = hierarchy_groups(6, 8)
 REQUESTER = "node0"
 
 
@@ -28,7 +29,7 @@ def test_flat_lp_speed(benchmark):
 def test_multigrid_speed(benchmark):
     amount = 0.9 * SYSTEM.capacity_of(REQUESTER)
     result = benchmark(
-        allocate_hierarchical, SYSTEM, REQUESTER, amount, partial=True
+        allocate_hierarchical, SYSTEM, REQUESTER, amount, groups=GROUPS, partial=True
     )
     assert result.satisfied > 0
 
@@ -38,10 +39,9 @@ def test_multigrid_matches_flat_quality():
     for _ in range(5):
         V = 0.5 + rng.random(SYSTEM.n)
         live = SYSTEM.with_capacities(V)
-        live.groups = SYSTEM.groups
         amount = 0.6 * live.capacity_of(REQUESTER)
         flat = allocate_lp(live, REQUESTER, amount)
-        multi = allocate_hierarchical(live, REQUESTER, amount, partial=True)
+        multi = allocate_hierarchical(live, REQUESTER, amount, groups=GROUPS, partial=True)
         # Multigrid satisfies (nearly) the full request...
         assert multi.satisfied >= amount * 0.95
         # ...with perturbation within a small factor of the optimum.

@@ -10,7 +10,7 @@ instrumented layer:
    solves, sim-time/wall-time ratio).
 
 Finally it replays the trace through the same aggregation that
-``scripts/obs_report.py`` uses and prints the summary tables.
+``scripts/obs_trace.py report`` uses and prints the summary tables.
 
 Run:  python examples/tracing_demo.py [trace.jsonl]
 """

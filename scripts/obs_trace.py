@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Reconstruct request span trees from one or many repro.obs traces.
+"""Read repro.obs traces: span trees, summary tables and decision records.
 
 Every node in a GRM/LRM deployment writes its own JSONL trace; the trace
 context on each span line (trace/span/parent ids) is what stitches one
@@ -14,12 +14,17 @@ Usage::
     PYTHONPATH=src python scripts/obs_trace.py --trace-id 1a2b3c run.jsonl
     PYTHONPATH=src python scripts/obs_trace.py --json run.jsonl
     PYTHONPATH=src python scripts/obs_trace.py explain 17 run.jsonl
+    PYTHONPATH=src python scripts/obs_trace.py report run.jsonl [--json]
 
+``tree`` (the default when the first argument is a trace file) prints the
+merged per-request span trees.
 ``explain REQUEST_ID`` prints the flight-recorder record(s) for one
 allocation decision (requestor, donor split, theta, LP statistics,
 capacities before/after) — the offline counterpart of
 ``repro.obs.explain``.  Exit status 1 if the request id appears in none
-of the given traces.
+of the given traces.  ``report TRACE`` replays one trace into span,
+counter and histogram summary tables (``--json`` for the aggregated
+summary as JSON).
 """
 
 from __future__ import annotations
@@ -34,6 +39,8 @@ _SRC = Path(__file__).resolve().parent.parent / "src"
 if _SRC.is_dir() and str(_SRC) not in sys.path:
     sys.path.insert(0, str(_SRC))
 
+from repro.obs.events import read_trace  # noqa: E402
+from repro.obs.report import render_trace, summarize_trace  # noqa: E402
 from repro.obs.trace_tools import (  # noqa: E402
     build_trees,
     find_decisions,
@@ -96,10 +103,19 @@ def _cmd_explain(args) -> int:
     return 0
 
 
+def _cmd_report(args) -> int:
+    (trace,) = args.traces
+    if args.json:
+        print(json.dumps(summarize_trace(read_trace(trace)), indent=2))
+    else:
+        print(render_trace(trace))
+    return 0
+
+
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     # Default subcommand: a bare list of trace files means "tree".
-    if argv and argv[0] not in ("tree", "explain", "-h", "--help"):
+    if argv and argv[0] not in ("tree", "explain", "report", "-h", "--help"):
         argv.insert(0, "tree")
 
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
@@ -120,6 +136,15 @@ def main(argv: list[str] | None = None) -> int:
     p_explain.add_argument("traces", nargs="+", help="JSONL trace file(s) to search")
     p_explain.add_argument("--json", action="store_true", help="machine-readable output")
     p_explain.set_defaults(fn=_cmd_explain)
+
+    p_report = sub.add_parser(
+        "report", help="replay one trace into span/counter/histogram tables"
+    )
+    p_report.add_argument("traces", nargs=1, metavar="TRACE", help="JSONL trace file")
+    p_report.add_argument(
+        "--json", action="store_true", help="emit the aggregated summary as JSON"
+    )
+    p_report.set_defaults(fn=_cmd_report)
 
     args = parser.parse_args(argv)
     _check_traces(parser, args.traces)

@@ -3,12 +3,10 @@
 - :class:`~repro.agreements.topology.AgreementTopology` /
   :class:`~repro.agreements.topology.CapacityView` — the core split: an
   immutable, hashable structure (principals, ``S``, ``A``, overdraft
-  flag, flow method) owning the per-level coefficient cache, and cheap
-  capacity views over it, one per scheduling epoch;
-- :class:`~repro.agreements.matrix.AgreementSystem` — the compatibility
-  facade over the pair: principals, raw capacities ``V``, relative matrix
-  ``S`` and absolute matrix ``A`` with the paper's validity constraints,
-  plus cached flow/capacity queries;
+  flag, flow method) with the paper's validity constraints, owning the
+  per-level coefficient cache, and cheap capacity views binding raw
+  capacities ``V`` over it, one per scheduling epoch, answering the
+  flow/capacity queries;
 - :mod:`~repro.agreements.flow` — the flow coefficients ``T^(m)``
   (sums over acyclic agreement chains of at most ``m`` hops), flows
   ``I^(m) = V_i T^(m)_ij``, overdraft clamping ``K^(m)``, absolute-ticket
@@ -38,19 +36,18 @@ from .flow import (
     transitive_coefficients,
     u_matrix,
 )
-from .matrix import AgreementSystem
 from .negotiate import suggest_shares
 from .topology import AgreementTopology, CapacityView
 from .structures import (
     complete_structure,
     distance_decay_structure,
     hierarchical_structure,
+    hierarchy_groups,
     loop_structure,
     sparse_structure,
 )
 
 __all__ = [
-    "AgreementSystem",
     "AgreementTopology",
     "CapacityView",
     "StructureSummary",
@@ -72,5 +69,6 @@ __all__ = [
     "loop_structure",
     "sparse_structure",
     "hierarchical_structure",
+    "hierarchy_groups",
     "distance_decay_structure",
 ]

@@ -21,9 +21,9 @@ This module gives each rate its own type:
   memoisation.  Views are cheap to mint (:meth:`AgreementTopology.view`)
   and to rebind (:meth:`CapacityView.with_capacities`).
 
-:class:`~repro.agreements.matrix.AgreementSystem` remains as a thin
-facade over the pair, so call sites written against the original
-monolithic class keep working unchanged.
+A topology plus a view is the whole Section-3.1 enforcement state:
+structure generators, :meth:`repro.economy.Bank.capacity_view`, the
+allocators and the proxy simulator all hand views around.
 """
 
 from __future__ import annotations
@@ -249,12 +249,12 @@ class AgreementTopology:
 class CapacityView:
     """The fast-changing half: a capacity vector over a topology.
 
-    A view answers the same flow/capacity queries as the old monolithic
-    ``AgreementSystem`` but owns no structure of its own — ``T`` lookups
-    hit the topology's shared cache, and the per-level ``(U, C)`` pairs
-    computed for *this* ``V`` are memoised so an allocator's sequence of
-    ``u() / capacities() / coefficients()`` calls does the dense algebra
-    once.
+    A view answers the flow/capacity queries but owns no structure of its
+    own — ``T`` lookups hit the topology's shared cache, and the per-level
+    ``(U, C)`` pairs computed for *this* ``V`` are memoised so an
+    allocator's sequence of ``u() / capacities() / coefficients()`` calls
+    does the dense algebra once.  The arrays it returns are those frozen
+    memo entries, shared by every caller: copy before writing.
     """
 
     __slots__ = ("topology", "V", "_uc_cache")

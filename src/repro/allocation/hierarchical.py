@@ -18,7 +18,7 @@ from __future__ import annotations
 import numpy as np
 
 from .. import sanitize as _sanitize
-from ..agreements.matrix import AgreementSystem
+from ..agreements.topology import AgreementTopology, CapacityView
 from ..errors import AllocationError, InsufficientResourcesError
 from ..obs import get_observer
 from ..obs.decision import current_decision
@@ -30,7 +30,7 @@ __all__ = ["allocate_hierarchical", "coarsen"]
 _TOL = 1e-9
 
 
-def coarsen(system: AgreementSystem, groups: list[list[int]]) -> AgreementSystem:
+def coarsen(system: CapacityView, groups: list[list[int]]) -> CapacityView:
     """Aggregate a member-level system into a group-level system.
 
     ``V_g = sum_{i in g} V_i`` and
@@ -51,32 +51,31 @@ def coarsen(system: AgreementSystem, groups: list[list[int]]) -> AgreementSystem
                 system.S[i, j] * system.V[i] for i in g for j in h
             ) / Vg[gi]
     names = [f"group{gi}" for gi in range(ng)]
-    return AgreementSystem(
-        names, Vg, Sg, allow_overdraft=system.allow_overdraft,
+    return AgreementTopology(
+        names, Sg, allow_overdraft=system.allow_overdraft,
         flow_method=system.flow_method,
-    )
+    ).view(Vg)
 
 
-def _subsystem(system: AgreementSystem, members: list[int]) -> AgreementSystem:
+def _subsystem(system: CapacityView, members: list[int]) -> CapacityView:
     """Member-level system restricted to one group (intra-group edges only)."""
     idx = np.asarray(members)
     names = [system.principals[i] for i in members]
-    return AgreementSystem(
+    return AgreementTopology(
         names,
-        system.V[idx],
         system.S[np.ix_(idx, idx)],
         None if system.A is None else system.A[np.ix_(idx, idx)],
         allow_overdraft=system.allow_overdraft,
         flow_method=system.flow_method,
-    )
+    ).view(system.V[idx])
 
 
 def allocate_hierarchical(
-    system: AgreementSystem,
+    system: CapacityView,
     principal: str,
     amount: float,
     *,
-    groups: list[list[int]] | None = None,
+    groups: list[list[int]],
     level: int | None = None,
     backend: str = "scipy",
     partial: bool = False,
@@ -92,20 +91,14 @@ def allocate_hierarchical(
        capacities, exactly the paper's "iterating this process as
        required".
 
-    ``groups`` defaults to the ``system.groups`` attribute set by
-    :func:`repro.agreements.structures.hierarchical_structure`.
+    ``groups`` partitions the member indices, e.g.
+    :func:`repro.agreements.structures.hierarchy_groups` for a
+    :func:`~repro.agreements.structures.hierarchical_structure`.
 
     Raises :class:`~repro.errors.InsufficientResourcesError` (with the
     amount actually deliverable) if iteration stalls short of the request
     and ``partial`` is False.
     """
-    if groups is None:
-        groups = getattr(system, "groups", None)
-    if groups is None:
-        raise AllocationError(
-            "hierarchical allocation needs a group partition; pass groups= "
-            "or use a system built by hierarchical_structure()"
-        )
     a = system.index(principal)
     home = next((gi for gi, g in enumerate(groups) if a in g), None)
     if home is None:
@@ -204,7 +197,7 @@ def allocate_hierarchical(
     return _finish(system, request, take, satisfied, level)
 
 
-def _spread_within(sub: AgreementSystem, contribution: float) -> np.ndarray:
+def _spread_within(sub: CapacityView, contribution: float) -> np.ndarray:
     """Spread a donor group's contribution over members, minimising the
     maximum member drop (a small LP with an exogenous sink)."""
     from ..lp import LinearProgram

@@ -53,11 +53,16 @@ from ..errors import (
     LPError,
 )
 from ..lp import LinearProgram
+from ..lp.model import BACKENDS
 from ..obs import get_observer
 from ..obs.decision import current_decision
 from .problem import Allocation, AllocationRequest
 
-__all__ = ["allocate_lp"]
+__all__ = ["allocate_lp", "FORMULATIONS", "OBJECTIVES"]
+
+#: the ``formulation=`` and ``objective=`` values :func:`allocate_lp` accepts
+FORMULATIONS = ("reduced", "faithful")
+OBJECTIVES = ("others", "all")
 
 _TOL = 1e-7
 
@@ -78,8 +83,7 @@ def allocate_lp(
     Parameters
     ----------
     system:
-        An :class:`~repro.agreements.AgreementSystem` or a
-        :class:`~repro.agreements.topology.CapacityView` (the GRM's hot
+        A :class:`~repro.agreements.topology.CapacityView` (the GRM's hot
         path passes views bound to its cached topology).
     principal, amount:
         The requester ``A`` and request size ``x``.
@@ -101,6 +105,12 @@ def allocate_lp(
         With ``take`` summing to the satisfied amount and the post-state
         ``V'`` / ``C'`` vectors.
     """
+    if objective not in OBJECTIVES:
+        raise LPError(f"unknown objective {objective!r}; use one of {list(OBJECTIVES)}")
+    if formulation not in FORMULATIONS:
+        raise LPError(f"unknown formulation {formulation!r}; use one of {list(FORMULATIONS)}")
+    if backend not in BACKENDS:
+        raise LPError(f"unknown LP backend {backend!r}; use one of {list(BACKENDS)}")
     request = AllocationRequest(principal, amount, level)
     a = system.index(principal)
     n = system.n
@@ -127,8 +137,6 @@ def allocate_lp(
         if x <= _TOL:
             return _make_result(system, request, np.zeros(n), 0.0, 0.0, level)
 
-        if objective not in ("others", "all"):
-            raise LPError(f"unknown objective {objective!r}; use 'others' or 'all'")
         try:
             if formulation == "reduced" and backend == "scipy":
                 # Hot path for the simulator: build the arrays directly
@@ -136,12 +144,8 @@ def allocate_lp(
                 take, theta = _solve_reduced_arrays(n, a, x, V, U, T, objective)
             elif formulation == "reduced":
                 take, theta = _solve_reduced(n, a, x, V, U, T, objective, backend)
-            elif formulation == "faithful":
-                take, theta = _solve_faithful(n, a, x, V, U, T, C, objective, backend)
             else:
-                raise LPError(
-                    f"unknown formulation {formulation!r}; use 'reduced' or 'faithful'"
-                )
+                take, theta = _solve_faithful(n, a, x, V, U, T, C, objective, backend)
         except InfeasibleAllocationError:
             obs.counter("allocation.infeasible")
             obs.event(

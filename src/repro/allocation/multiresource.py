@@ -50,9 +50,9 @@ def allocate_multi(
     Parameters
     ----------
     systems:
-        Maps resource-type name to the system-like object governing that
-        type — an :class:`~repro.agreements.AgreementSystem` or a
-        :class:`~repro.agreements.topology.CapacityView` (built e.g. with
+        Maps resource-type name to the
+        :class:`~repro.agreements.topology.CapacityView` governing that
+        type (built e.g. with
         ``bank.capacity_view(rtype)`` per type, which reuses the bank's
         version-keyed topology cache).  A coupled resource must have its
         *own* entry: the caller registers the bundle as a first-class

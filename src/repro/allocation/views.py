@@ -37,7 +37,7 @@ __all__ = ["ViewSet", "allocate_views"]
 class ViewSet:
     """Several agreement systems (views) over one physical resource.
 
-    ``systems`` maps view name -> :class:`~repro.agreements.AgreementSystem`;
+    ``systems`` maps view name -> :class:`~repro.agreements.CapacityView`;
     all must share the same principal list.  ``base_capacity`` is the
     underlying physical capacity per principal that all views jointly
     consume; each view's own ``V`` bounds what that view may see, but the

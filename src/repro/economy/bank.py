@@ -342,7 +342,9 @@ class Bank:
         currency's owner) and the absolute component of relative tickets
         issued by virtual currencies funded with absolute tickets.
 
-        The matrices feed :class:`repro.agreements.AgreementSystem`.
+        The matrices feed :class:`repro.agreements.AgreementTopology`
+        (``S``, ``A``) and its :class:`~repro.agreements.CapacityView`
+        (``V``); :meth:`capacity_view` does both, cached.
         """
         principals = self.principals()
         pindex = {p: i for i, p in enumerate(principals)}
@@ -470,11 +472,6 @@ class Bank:
         revocation take effect on the very next scheduling decision.
         """
         return self._flattened(resource_type, allow_overdraft, flow_method)[1]
-
-    def base_capacities(self, resource_type: str = "general") -> np.ndarray:
-        """Raw owned capacities ``V`` (base deposits), cache-aligned with
-        :meth:`topology` and in the same principal order."""
-        return self._flattened(resource_type, False, "dp")[2]
 
     def capacity_view(
         self,

@@ -1,7 +1,7 @@
 """R5 — no in-place mutation of cached topology/view arrays.
 
 ``AgreementTopology.coefficients()``, ``CapacityView.u()`` /
-``.capacities()``, ``Bank.base_capacities()`` and the ``S``/``A``/``V``
+``.capacities()``, ``Bank.capacity_view()`` and the ``S``/``A``/``V``
 matrices all return arrays *shared* through version-keyed caches.  A
 caller that writes into one corrupts every other holder of the cache
 entry — silently, because the cache key (the bank version) has not

@@ -17,7 +17,10 @@ from ..errors import LPError
 from .expr import LinExpr, Relation, Variable
 from .result import LPResult
 
-__all__ = ["LinearProgram", "Constraint"]
+__all__ = ["LinearProgram", "Constraint", "BACKENDS"]
+
+#: solver names :meth:`LinearProgram.solve` accepts
+BACKENDS = ("scipy", "simplex")
 
 
 @dataclass(frozen=True)
@@ -166,11 +169,9 @@ class LinearProgram:
         from .scipy_backend import solve_scipy
         from .simplex import solve_simplex
 
-        solvers = {"scipy": solve_scipy, "simplex": solve_simplex}
-        try:
-            solver = solvers[backend]
-        except KeyError:
-            raise LPError(f"unknown LP backend {backend!r}; choose from {sorted(solvers)}") from None
+        if backend not in BACKENDS:
+            raise LPError(f"unknown LP backend {backend!r}; choose from {list(BACKENDS)}")
+        solver = solve_scipy if backend == "scipy" else solve_simplex
         result = solver(self, **kwargs)
         result.names = tuple(v.name for v in self._vars)
         if self._obj_sense == "max" and result.ok:

@@ -19,7 +19,9 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from ..allocation.lp_allocator import FORMULATIONS
 from ..errors import SimulationError
+from ..lp.model import BACKENDS
 from ..workload.diurnal import DAY_SECONDS, DiurnalProfile
 from ..workload.sizes import LogNormalSizes, SizeDistribution
 
@@ -120,6 +122,12 @@ class SimulationConfig:
             raise SimulationError("need at least one proxy")
         if self.scheme not in ("none", "lp", "endpoint", "greedy"):
             raise SimulationError(f"unknown scheme {self.scheme!r}")
+        if self.allocator_backend not in BACKENDS:
+            raise SimulationError(f"unknown allocator_backend {self.allocator_backend!r}")
+        if self.allocator_formulation not in FORMULATIONS:
+            raise SimulationError(
+                f"unknown allocator_formulation {self.allocator_formulation!r}"
+            )
         if self.epoch <= 0 or self.threshold < 0 or self.lookahead <= 0:
             raise SimulationError("epoch/lookahead must be positive, threshold >= 0")
         if self.warmup_days < 0 or self.measure_days < 1:

@@ -34,7 +34,7 @@ __all__ = ["ManagerPolicy", "bank_for_structure"]
 
 
 def bank_for_structure(system) -> Bank:
-    """Express an :class:`~repro.agreements.AgreementSystem`'s relative
+    """Express a :class:`~repro.agreements.CapacityView`'s relative
     agreements as tickets in a fresh bank (capacities are reported live by
     the simulator, so no base deposits are made)."""
     bank = Bank()
@@ -61,7 +61,6 @@ class ManagerPolicy(RedirectPolicy):
     """
 
     def __init__(self, system, level: int | None = None):
-        self.systemish = system
         self.level = level
         self.n = system.n
         self.principals = list(system.principals)

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..agreements.matrix import AgreementSystem
+from ..agreements.topology import CapacityView
 from ..allocation.endpoint import allocate_endpoint
 from ..allocation.greedy import allocate_greedy
 from ..allocation.lp_allocator import allocate_lp
@@ -74,7 +74,7 @@ class _SystemPolicy(RedirectPolicy):
     availability vector.
     """
 
-    def __init__(self, system: AgreementSystem):
+    def __init__(self, system: CapacityView):
         self.system = system
         self.topology = system.topology
         self.n = system.n
@@ -92,7 +92,7 @@ class LPPolicy(_SystemPolicy):
 
     def __init__(
         self,
-        system: AgreementSystem,
+        system: CapacityView,
         level: int | None = None,
         formulation: str = "reduced",
         backend: str = "scipy",
@@ -151,7 +151,7 @@ class EndpointPolicy(_SystemPolicy):
     queues.  Redirected work may therefore land on a busy donor.
     """
 
-    def __init__(self, system: AgreementSystem, rated: np.ndarray):
+    def __init__(self, system: CapacityView, rated: np.ndarray):
         super().__init__(system)
         self.rated = np.asarray(rated, dtype=float)
         if self.rated.shape != (self.n,):
@@ -172,7 +172,7 @@ class EndpointPolicy(_SystemPolicy):
 class GreedyPolicy(_SystemPolicy):
     """Most-available-donor-first, bounded by direct+transitive agreements."""
 
-    def __init__(self, system: AgreementSystem, level: int | None = None):
+    def __init__(self, system: CapacityView, level: int | None = None):
         super().__init__(system)
         self.level = level
 
@@ -187,7 +187,7 @@ class GreedyPolicy(_SystemPolicy):
         return take
 
 
-def make_policy(config, system: AgreementSystem | None) -> RedirectPolicy:
+def make_policy(config, system: CapacityView | None) -> RedirectPolicy:
     """Build the policy named by ``config.scheme``."""
     if config.scheme == "none":
         return NoSharingPolicy(config.n_proxies)

@@ -4,7 +4,7 @@ import networkx as nx
 import numpy as np
 import pytest
 
-from repro.agreements import AgreementSystem, complete_structure, loop_structure
+from repro.agreements import AgreementTopology, complete_structure, loop_structure
 from repro.agreements.graph_export import from_networkx, to_networkx
 from repro.errors import AgreementError
 
@@ -20,7 +20,7 @@ class TestExport:
     def test_edges_carry_share_and_grant(self):
         S = np.array([[0.0, 0.3], [0.0, 0.0]])
         A = np.array([[0.0, 2.0], [0.0, 0.0]])
-        system = AgreementSystem(["a", "b"], np.array([5.0, 0.0]), S, A)
+        system = AgreementTopology(["a", "b"], S, A).view(np.array([5.0, 0.0]))
         g = to_networkx(system)
         assert g["a"]["b"]["share"] == pytest.approx(0.3)
         assert g["a"]["b"]["grant"] == pytest.approx(2.0)
@@ -50,17 +50,13 @@ class TestRoundTrip:
 
     def test_absolute_matrix_survives(self):
         A = np.array([[0.0, 2.0], [0.0, 0.0]])
-        system = AgreementSystem(
-            ["a", "b"], np.array([5.0, 0.0]), np.zeros((2, 2)), A
-        )
+        system = AgreementTopology(["a", "b"], np.zeros((2, 2)), A).view(np.array([5.0, 0.0]))
         back = from_networkx(to_networkx(system))
         np.testing.assert_allclose(back.A, A)
 
     def test_overdraft_flag_survives(self):
         S = np.array([[0.0, 0.7, 0.7], [0, 0, 0], [0, 0, 0]])
-        system = AgreementSystem(
-            ["a", "b", "c"], np.ones(3), S, allow_overdraft=True
-        )
+        system = AgreementTopology(["a", "b", "c"], S, allow_overdraft=True).view(np.ones(3))
         back = from_networkx(to_networkx(system))
         assert back.allow_overdraft
 
@@ -86,9 +82,7 @@ class TestGraphAnalysisInterop:
         for i in range(1, n):
             S[0, i] = 0.15   # hub shares with everyone
             S[i, 0] = 0.5    # all share back with the hub
-        system = AgreementSystem(
-            [f"p{i}" for i in range(n)], np.ones(n), S
-        )
+        system = AgreementTopology([f"p{i}" for i in range(n)], S).view(np.ones(n))
         g = to_networkx(system)
         centrality = nx.betweenness_centrality(g)
         assert max(centrality, key=centrality.get) == "p0"

@@ -7,6 +7,7 @@ from repro.agreements import (
     complete_structure,
     distance_decay_structure,
     hierarchical_structure,
+    hierarchy_groups,
     loop_structure,
     sparse_structure,
 )
@@ -87,9 +88,13 @@ class TestSparse:
 
 
 class TestHierarchical:
-    def test_groups_attribute(self):
+    def test_hierarchy_groups_partition(self):
+        assert hierarchy_groups(3, 4) == [[0, 1, 2, 3], [4, 5, 6, 7], [8, 9, 10, 11]]
         sys_ = hierarchical_structure(3, 4)
-        assert sys_.groups == [[0, 1, 2, 3], [4, 5, 6, 7], [8, 9, 10, 11]]
+        # members share only inside their group (leaders aside)
+        for members in hierarchy_groups(3, 4):
+            outside = [j for j in range(sys_.n) if j not in members]
+            assert not np.any(sys_.S[np.ix_(members[1:], outside)])
 
     def test_intra_group_complete(self):
         sys_ = hierarchical_structure(2, 3, intra_share_total=0.6)

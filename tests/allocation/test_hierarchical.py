@@ -3,10 +3,13 @@
 import numpy as np
 import pytest
 
-from repro.agreements import hierarchical_structure
+from repro.agreements import hierarchical_structure, hierarchy_groups
 from repro.allocation import allocate_hierarchical, allocate_lp
 from repro.allocation.hierarchical import coarsen
-from repro.errors import AllocationError, InsufficientResourcesError
+from repro.errors import InsufficientResourcesError
+
+
+GROUPS = hierarchy_groups(3, 4)
 
 
 @pytest.fixture
@@ -18,17 +21,17 @@ def hier():
 
 class TestCoarsen:
     def test_group_capacities_sum(self, hier):
-        coarse = coarsen(hier, hier.groups)
+        coarse = coarsen(hier, GROUPS)
         np.testing.assert_allclose(coarse.V, [4.0, 4.0, 4.0])
 
     def test_inter_group_shares(self, hier):
-        coarse = coarsen(hier, hier.groups)
+        coarse = coarsen(hier, GROUPS)
         # Only leaders link groups: share 0.1, leader holds 1/4 of capacity.
         assert coarse.S[0, 1] == pytest.approx(0.1 * 1.0 / 4.0)
         assert coarse.S[0, 2] == pytest.approx(0.0)
 
     def test_intra_group_edges_dropped(self, hier):
-        coarse = coarsen(hier, hier.groups)
+        coarse = coarsen(hier, GROUPS)
         assert not np.any(np.diag(coarse.S))
 
     def test_empty_group_handled(self, hier):
@@ -39,42 +42,37 @@ class TestCoarsen:
 
 class TestAllocate:
     def test_small_request_stays_in_group(self, hier):
-        al = allocate_hierarchical(hier, "node0", 0.5)
+        al = allocate_hierarchical(hier, "node0", 0.5, groups=GROUPS)
         assert al.satisfied == pytest.approx(0.5)
-        assert set(np.nonzero(al.take)[0]) <= set(hier.groups[0])
+        assert set(np.nonzero(al.take)[0]) <= set(GROUPS[0])
 
     def test_group_spanning_request(self, hier):
-        al = allocate_hierarchical(hier, "node0", 2.2)
+        al = allocate_hierarchical(hier, "node0", 2.2, groups=GROUPS)
         assert al.satisfied == pytest.approx(2.2, rel=1e-6)
-        outside = [i for i in np.nonzero(al.take)[0] if i not in hier.groups[0]]
+        outside = [i for i in np.nonzero(al.take)[0] if i not in GROUPS[0]]
         assert outside  # some contribution crossed group boundaries
 
     def test_conservation(self, hier):
-        al = allocate_hierarchical(hier, "node5", 2.0)
+        al = allocate_hierarchical(hier, "node5", 2.0, groups=GROUPS)
         np.testing.assert_allclose(hier.V - al.take, al.new_V, atol=1e-9)
 
     def test_impossible_request_raises(self, hier):
         with pytest.raises(InsufficientResourcesError):
-            allocate_hierarchical(hier, "node0", 1000.0)
-
-    def test_groups_required(self, hier):
-        plain = hier.with_capacities(hier.V)  # clone has no .groups
-        with pytest.raises(AllocationError, match="group partition"):
-            allocate_hierarchical(plain, "node0", 0.5)
+            allocate_hierarchical(hier, "node0", 1000.0, groups=GROUPS)
 
     def test_explicit_groups_accepted(self, hier):
         plain = hier.with_capacities(hier.V)
-        al = allocate_hierarchical(plain, "node0", 0.5, groups=hier.groups)
+        al = allocate_hierarchical(plain, "node0", 0.5, groups=GROUPS)
         assert al.satisfied == pytest.approx(0.5)
 
     def test_unknown_principal(self, hier):
         with pytest.raises(Exception):
-            allocate_hierarchical(hier, "ghost", 0.5)
+            allocate_hierarchical(hier, "ghost", 0.5, groups=GROUPS)
 
     def test_comparable_to_flat_lp(self, hier):
         """Multigrid is a refinement heuristic: it must satisfy the same
         request the flat LP does, with theta in the same ballpark."""
         flat = allocate_lp(hier, "node0", 1.5)
-        multi = allocate_hierarchical(hier, "node0", 1.5)
+        multi = allocate_hierarchical(hier, "node0", 1.5, groups=GROUPS)
         assert multi.satisfied == pytest.approx(flat.satisfied, rel=1e-6)
         assert multi.theta <= flat.theta * 5 + 0.5

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.agreements import AgreementSystem
+from repro.agreements import AgreementTopology
 from repro.allocation.views import ViewSet, allocate_views
 from repro.errors import AllocationError, InsufficientResourcesError
 
@@ -16,12 +16,8 @@ def make_viewset(read_share=0.5, write_share=0.2, base=(10.0, 10.0)):
     """
     names = ["p0", "p1"]
     base = np.asarray(base, float)
-    read = AgreementSystem(
-        names, base.copy(), np.array([[0.0, read_share], [0.0, 0.0]])
-    )
-    write = AgreementSystem(
-        names, base.copy(), np.array([[0.0, write_share], [0.0, 0.0]])
-    )
+    read = AgreementTopology(names, np.array([[0.0, read_share], [0.0, 0.0]])).view(base)
+    write = AgreementTopology(names, np.array([[0.0, write_share], [0.0, 0.0]])).view(base)
     return ViewSet("disk-bw", {"read": read, "write": write}, base)
 
 
@@ -31,13 +27,13 @@ class TestViewSetValidation:
             ViewSet("x", {}, np.zeros(1))
 
     def test_principal_lists_must_match(self):
-        a = AgreementSystem(["p0", "p1"], np.ones(2), np.zeros((2, 2)))
-        b = AgreementSystem(["q0", "q1"], np.ones(2), np.zeros((2, 2)))
+        a = AgreementTopology(["p0", "p1"], np.zeros((2, 2))).view(np.ones(2))
+        b = AgreementTopology(["q0", "q1"], np.zeros((2, 2))).view(np.ones(2))
         with pytest.raises(AllocationError, match="principal list"):
             ViewSet("x", {"a": a, "b": b}, np.ones(2))
 
     def test_base_shape(self):
-        a = AgreementSystem(["p0", "p1"], np.ones(2), np.zeros((2, 2)))
+        a = AgreementTopology(["p0", "p1"], np.zeros((2, 2))).view(np.ones(2))
         with pytest.raises(AllocationError, match="length"):
             ViewSet("x", {"a": a}, np.ones(3))
 

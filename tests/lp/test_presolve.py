@@ -121,11 +121,11 @@ class TestEquivalence:
     def test_allocation_lp_with_presolve(self):
         """Presolve the faithful allocation LP: flows of zero-capacity
         principals get fixed away."""
-        from repro.agreements import AgreementSystem
+        from repro.agreements import AgreementTopology
         from repro.lp.expr import LinExpr
 
         S = np.array([[0, 0.5, 0], [0, 0, 0.5], [0, 0, 0]], dtype=float)
-        system = AgreementSystem(["a", "b", "c"], np.array([8.0, 0.0, 0.0]), S)
+        system = AgreementTopology(["a", "b", "c"], S).view(np.array([8.0, 0.0, 0.0]))
         # Recreate the reduced allocation LP manually and presolve it.
         lp = LinearProgram()
         U = system.u(None)

@@ -132,7 +132,7 @@ class TestDecisionReporting:
         self._record_decisions(observer)
         observer.flush()
         proc = subprocess.run(
-            [sys.executable, str(REPO_ROOT / "scripts" / "obs_report.py"),
+            [sys.executable, str(REPO_ROOT / "scripts" / "obs_trace.py"), "report",
              str(path), "--json"],
             capture_output=True, text=True, timeout=60,
         )
@@ -147,7 +147,7 @@ class TestReportScript:
         _write_workload(observer)
         observer.flush()
         proc = subprocess.run(
-            [sys.executable, str(REPO_ROOT / "scripts" / "obs_report.py"), str(path)],
+            [sys.executable, str(REPO_ROOT / "scripts" / "obs_trace.py"), "report", str(path)],
             capture_output=True, text=True, timeout=60,
         )
         assert proc.returncode == 0, proc.stderr
@@ -159,7 +159,7 @@ class TestReportScript:
         _write_workload(observer)
         observer.flush()
         proc = subprocess.run(
-            [sys.executable, str(REPO_ROOT / "scripts" / "obs_report.py"),
+            [sys.executable, str(REPO_ROOT / "scripts" / "obs_trace.py"), "report",
              str(path), "--json"],
             capture_output=True, text=True, timeout=60,
         )
@@ -169,7 +169,7 @@ class TestReportScript:
 
     def test_cli_missing_file_errors(self, tmp_path):
         proc = subprocess.run(
-            [sys.executable, str(REPO_ROOT / "scripts" / "obs_report.py"),
+            [sys.executable, str(REPO_ROOT / "scripts" / "obs_trace.py"), "report",
              str(tmp_path / "absent.jsonl")],
             capture_output=True, text=True, timeout=60,
         )

@@ -37,6 +37,16 @@ class TestConfig:
         with pytest.raises(SimulationError):
             SimulationConfig(scheme="telepathy")
 
+    @pytest.mark.parametrize(
+        "field", [{"allocator_backend": "highs!"}, {"allocator_formulation": "quantum"}]
+    )
+    def test_allocator_option_validation(self, field):
+        with pytest.raises(SimulationError, match=next(iter(field))):
+            SimulationConfig(**field)
+        for backend in ("scipy", "simplex"):
+            for formulation in ("reduced", "faithful"):
+                SimulationConfig(allocator_backend=backend, allocator_formulation=formulation)
+
     def test_capacity_scalar_and_vector(self):
         cfg = SimulationConfig(capacity=1.25)
         assert cfg.capacities().tolist() == [1.25] * 10

@@ -15,7 +15,7 @@ import pytest
 import repro.manager.grm as grm_module
 import repro.obs as obs
 from repro import sanitize
-from repro.agreements import AgreementSystem
+from repro.agreements import AgreementTopology
 from repro.allocation import Allocation, AllocationRequest
 from repro.economy import Bank
 from repro.errors import InvariantViolation
@@ -222,8 +222,8 @@ class TestAllocationInvariants:
         assert exc_info.value.invariant == invariant
 
     def test_honest_lp_allocation_passes(self, sanitized):
-        system = AgreementSystem(
-            ["a", "b"], np.array([10.0, 10.0]), np.array([[0.0, 0.4], [0.4, 0.0]])
+        system = AgreementTopology(["a", "b"], np.array([[0.0, 0.4], [0.4, 0.0]])).view(
+            np.array([10.0, 10.0])
         )
         from repro.allocation import allocate_lp
 
@@ -245,22 +245,20 @@ class TestCoefficientInvariants:
             sanitize.check_coefficients(T, allow_overdraft=False)
 
     def test_real_overdraft_topology_passes(self, sanitized):
-        system = AgreementSystem(
+        system = AgreementTopology(
             ["a", "b", "c"],
-            np.array([10.0, 10.0, 10.0]),
             np.array([[0.0, 0.9, 0.9], [0.3, 0.0, 0.0], [0.0, 0.0, 0.0]]),
             allow_overdraft=True,
-        )
+        ).view(np.array([10.0, 10.0, 10.0]))
         K = system.coefficients()
         assert float(K.max()) <= 1.0 + 1e-9
 
 
 class TestFrozenCaches:
     def test_view_cache_arrays_are_read_only(self):
-        system = AgreementSystem(
-            ["a", "b"], np.array([10.0, 10.0]), np.array([[0.0, 0.4], [0.4, 0.0]])
+        view = AgreementTopology(["a", "b"], np.array([[0.0, 0.4], [0.4, 0.0]])).view(
+            np.array([10.0, 10.0])
         )
-        view = system.view
         with pytest.raises(ValueError):
             view.capacities(1)[0] = 0.0
         with pytest.raises(ValueError):
@@ -268,21 +266,10 @@ class TestFrozenCaches:
         with pytest.raises(ValueError):
             view.coefficients(1)[0, 0] = 1.0
 
-    def test_facade_copy_on_read_is_writable_and_private(self):
-        system = AgreementSystem(
-            ["a", "b"], np.array([10.0, 10.0]), np.array([[0.0, 0.4], [0.4, 0.0]])
-        )
-        C = system.capacities(1)
-        C[0] = 0.0  # a private copy: legal, and does not poison the cache
-        assert system.capacities(1)[0] == pytest.approx(14.0)
-        U = system.u(1)
-        U.fill(0.0)
-        assert float(system.u(1).max()) > 0.0
-
-    def test_bank_base_capacities_read_only(self):
+    def test_bank_capacity_view_read_only(self):
         bank = Bank()
         bank.create_currency("a")
         bank.deposit_capacity("a", 5.0)
-        V = bank.base_capacities()
+        V = bank.capacity_view().V
         with pytest.raises(ValueError):
             V[0] = 99.0
